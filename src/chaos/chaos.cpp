@@ -138,57 +138,6 @@ class ChaosInjector final : public cluster::NetworkFaults {
   std::uint64_t injected_ = 0;
 };
 
-sim::ScenarioConfig base_config(std::uint64_t seed, bool hb_stale_guard) {
-  sim::ScenarioConfig cfg;
-  cfg.cluster.num_mds = kNumMds;
-  cfg.cluster.seed = seed;
-  cfg.cluster.bal_interval = 500 * kMsec;
-  cfg.cluster.split_size = 150;
-  cfg.cluster.merge_size = 10;
-  cfg.cluster.hb_stale_guard = hb_stale_guard;
-  cfg.retry.timeout = 2 * kSec;  // clients must survive crashed ranks
-  cfg.retry.max_backoff = 4 * kSec;
-  cfg.max_time = 90 * kSec;  // wedge backstop, far past the nominal ~7s
-  return cfg;
-}
-
-void add_workloads(sim::Scenario& s, ScenarioKind kind) {
-  switch (kind) {
-    case ScenarioKind::CreateHeavy:
-      // ~6.3s of shared-directory creates: drives splits and exports.
-      for (int c = 0; c < 3; ++c)
-        s.add_client(workloads::make_shared_create_workload(
-            c, "/shared", 900, /*think=*/7000));
-      break;
-    case ScenarioKind::Compile:
-      // Shrunken compile tree, stretched to ~6s: hotspot phases + the
-      // readdir flash crowd.
-      for (int c = 0; c < 2; ++c) {
-        workloads::CompileOptions opt;
-        opt.root = "/src" + std::to_string(c);
-        opt.files_per_dir = 4;
-        opt.compile_ops = 150;
-        opt.read_ops = 60;
-        opt.link_rounds = 2;
-        opt.untar_think = 2000;
-        opt.compile_think = 25000;
-        opt.read_think = 8000;
-        opt.link_think = 2000;
-        s.add_client(workloads::make_compile_workload(c, opt));
-      }
-      break;
-    case ScenarioKind::FaultRecovery:
-      // Per-client private trees plus a baseline crash/restart of rank 1,
-      // so every schedule composes with an already-degraded cluster.
-      for (int c = 0; c < 3; ++c)
-        s.add_client(
-            workloads::make_private_create_workload(c, 900, /*think=*/7000));
-      s.engine().schedule_at(2 * kSec, [&s]() { s.cluster().crash_mds(1); });
-      s.engine().schedule_at(4 * kSec, [&s]() { s.cluster().restart_mds(1); });
-      break;
-  }
-}
-
 }  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
@@ -295,12 +244,68 @@ ChaosSchedule generate_schedule(std::uint64_t seed, int num_mds,
   return s;
 }
 
+std::unique_ptr<sim::Scenario> build_scenario(
+    ScenarioKind kind, std::uint64_t seed,
+    const cluster::MdsCluster::BalancerFactory& balancer,
+    bool hb_stale_guard) {
+  sim::ScenarioConfig cfg;
+  cfg.cluster.num_mds = kNumMds;
+  cfg.cluster.seed = seed;
+  cfg.cluster.bal_interval = 500 * kMsec;
+  cfg.cluster.split_size = 150;
+  cfg.cluster.merge_size = 10;
+  cfg.cluster.hb_stale_guard = hb_stale_guard;
+  cfg.retry.timeout = 2 * kSec;  // clients must survive crashed ranks
+  cfg.retry.max_backoff = 4 * kSec;
+  cfg.max_time = 90 * kSec;  // wedge backstop, far past the nominal ~7s
+  auto owned = std::make_unique<sim::Scenario>(cfg);
+  sim::Scenario& s = *owned;
+  s.cluster().set_balancer_all(balancer);
+
+  switch (kind) {
+    case ScenarioKind::CreateHeavy:
+      // ~6.3s of shared-directory creates: drives splits and exports.
+      for (int c = 0; c < 3; ++c)
+        s.add_client(workloads::make_shared_create_workload(
+            c, "/shared", 900, /*think=*/7000));
+      break;
+    case ScenarioKind::Compile:
+      // Shrunken compile tree, stretched to ~6s: hotspot phases + the
+      // readdir flash crowd.
+      for (int c = 0; c < 2; ++c) {
+        workloads::CompileOptions opt;
+        opt.root = "/src" + std::to_string(c);
+        opt.files_per_dir = 4;
+        opt.compile_ops = 150;
+        opt.read_ops = 60;
+        opt.link_rounds = 2;
+        opt.untar_think = 2000;
+        opt.compile_think = 25000;
+        opt.read_think = 8000;
+        opt.link_think = 2000;
+        s.add_client(workloads::make_compile_workload(c, opt));
+      }
+      break;
+    case ScenarioKind::FaultRecovery:
+      // Per-client private trees plus a baseline crash/restart of rank 1,
+      // so every schedule composes with an already-degraded cluster.
+      for (int c = 0; c < 3; ++c)
+        s.add_client(
+            workloads::make_private_create_workload(c, 900, /*think=*/7000));
+      s.engine().schedule_at(2 * kSec, [&s]() { s.cluster().crash_mds(1); });
+      s.engine().schedule_at(4 * kSec, [&s]() { s.cluster().restart_mds(1); });
+      break;
+  }
+  return owned;
+}
+
 RunOutcome run_schedule(ScenarioKind kind, const ChaosSchedule& schedule,
                         bool hb_stale_guard) {
-  sim::Scenario s(base_config(schedule.seed, hb_stale_guard));
-  s.cluster().set_balancer_all(
-      [](int) { return std::make_unique<balancers::OriginalBalancer>(); });
-  add_workloads(s, kind);
+  const std::unique_ptr<sim::Scenario> owned = build_scenario(
+      kind, schedule.seed,
+      [](int) { return std::make_unique<balancers::OriginalBalancer>(); },
+      hb_stale_guard);
+  sim::Scenario& s = *owned;
 
   ChaosInjector inj(schedule, s.cluster());
   InvariantChecker chk(s.cluster());

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "chaos/invariant.hpp"
+#include "cluster/cluster.hpp"
 #include "common/time.hpp"
 #include "mds/types.hpp"
 
@@ -28,6 +30,10 @@
 namespace mantle::obs {
 class MetricsRegistry;
 }  // namespace mantle::obs
+
+namespace mantle::sim {
+class Scenario;
+}  // namespace mantle::sim
 
 namespace mantle::chaos {
 
@@ -132,6 +138,16 @@ struct RunOutcome {
   std::uint64_t faults_injected = 0;
   Time makespan = 0;
 };
+
+/// Build one of the scenarios: a 3-rank cluster seeded with `seed`,
+/// `balancer` installed on every rank, and the scenario's workload (plus,
+/// for FaultRecovery, a baseline crash/restart of rank 1) attached. Every
+/// chaos schedule runs on one of these; so does policy shadow evaluation
+/// (src/safety), which installs the candidate policy as the balancer.
+std::unique_ptr<sim::Scenario> build_scenario(
+    ScenarioKind kind, std::uint64_t seed,
+    const cluster::MdsCluster::BalancerFactory& balancer,
+    bool hb_stale_guard = true);
 
 /// Generate one randomized schedule. Pure function of its arguments.
 ChaosSchedule generate_schedule(std::uint64_t seed, int num_mds,

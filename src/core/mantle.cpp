@@ -250,8 +250,7 @@ double MantleBalancer::eval_load_hook(Hook h, const std::string& script,
   lua::RunResult r = lua_.run(prog.chunk);
   if (r.ok && !prog.is_expr) r.values = {lua_.get_global(result_global)};
   if (!r.ok) {
-    ++hook_errors_;
-    last_error_ = r.error;
+    fail_run(r);
     MANTLE_LOG_WARN("mantle %s hook failed: %s", result_global,
                     r.error.c_str());
     return 0.0;
@@ -280,7 +279,7 @@ void MantleBalancer::attach_observability(obs::MetricsRegistry* metrics,
     for (int h = 0; h < kNumHooks; ++h)
       hook_calls_[h] = hook_fail_[h] = nullptr;
     for (int h = 0; h < kNumHooks; ++h) hook_steps_[h] = nullptr;
-    sanitized_ = nullptr;
+    sanitized_ = budget_exhausted_ = nullptr;
     cache_hits_ = cache_misses_ = cache_recompiles_ = nullptr;
     return;
   }
@@ -296,6 +295,9 @@ void MantleBalancer::attach_observability(obs::MetricsRegistry* metrics,
   }
   sanitized_ = &metrics->counter("mantle_targets_sanitized_total",
                                  "bogus targets entries clamped/ignored");
+  budget_exhausted_ =
+      &metrics->counter("mantle_hook_budget_exhaustions_total",
+                        "hook evaluations that ran out of budget");
   cache_hits_ = &metrics->counter("mantle_policy_cache_hits_total",
                                   "hook evaluations served from the cache");
   cache_misses_ = &metrics->counter("mantle_policy_cache_misses_total",
@@ -305,6 +307,17 @@ void MantleBalancer::attach_observability(obs::MetricsRegistry* metrics,
                         "cached hooks replaced by re-injection");
   // The construction-time compiles predate this attach; reconcile.
   sync_cache_counters();
+}
+
+void MantleBalancer::fail_run(const lua::RunResult& r) const {
+  ++hook_errors_;
+  last_error_ = r.error;
+  // The interpreter raises one step past its budget, and every later step
+  // re-raises (pcall cannot swallow it), so a failed run that used more
+  // steps than the budget is a budget exhaustion.
+  if (budget_exhausted_ != nullptr && opt_.budget != 0 &&
+      lua_.steps_used() > opt_.budget)
+    budget_exhausted_->inc();
 }
 
 void MantleBalancer::note_hook(Hook h, bool failed) const {
@@ -519,8 +532,7 @@ bool MantleBalancer::when(const ClusterView& view) {
     }
   }
   if (!r.ok) {
-    ++hook_errors_;
-    last_error_ = r.error;
+    fail_run(r);
     MANTLE_LOG_WARN("mantle when hook failed: %s", r.error.c_str());
     note_hook(kWhen, true);
     return false;
@@ -553,8 +565,7 @@ std::vector<double> MantleBalancer::where(const ClusterView& view) {
   bind_view(view);
   lua::RunResult r = lua_.run(program(kWhere, policy_.where).chunk);
   if (!r.ok) {
-    ++hook_errors_;
-    last_error_ = r.error;
+    fail_run(r);
     MANTLE_LOG_WARN("mantle where hook failed: %s", r.error.c_str());
     note_hook(kWhere, true);
     return std::vector<double>(view.size(), 0.0);
@@ -573,10 +584,7 @@ std::vector<std::string> MantleBalancer::howmuch() const {
   lua::RunResult r = lua_.run(program(kHowmuch, policy_.howmuch).chunk);
   note_hook(kHowmuch, !r.ok);
   if (!r.ok || !r.first().is_table()) {
-    if (!r.ok) {
-      ++hook_errors_;
-      last_error_ = r.error;
-    }
+    if (!r.ok) fail_run(r);
     return {"big_first"};
   }
   std::vector<std::string> out;

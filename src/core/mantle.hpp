@@ -204,6 +204,10 @@ class MantleBalancer final : public cluster::Balancer {
   void bind_state_functions();
   double eval_load_hook(Hook h, const std::string& script,
                         const char* result_global) const;
+  /// Count a failed Lua run as a hook error, and in
+  /// mantle_hook_budget_exhaustions_total when it stopped on the
+  /// instruction budget.
+  void fail_run(const lua::RunResult& r) const;
   /// Bump the hook's call/error counters and record the interpreter steps
   /// the evaluation consumed. No-op until attach_observability().
   void note_hook(Hook h, bool failed) const;
@@ -232,6 +236,7 @@ class MantleBalancer final : public cluster::Balancer {
   obs::Counter* hook_fail_[kNumHooks] = {};
   obs::Histogram* hook_steps_[kNumHooks] = {};
   obs::Counter* sanitized_ = nullptr;
+  obs::Counter* budget_exhausted_ = nullptr;
   obs::Counter* cache_hits_ = nullptr;
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* cache_recompiles_ = nullptr;

@@ -9,33 +9,23 @@
 #include "obs/trace.hpp"
 
 /// \file shadow.hpp
-/// Shadow evaluation: replay a recorded span-level trace against a
-/// *candidate* policy before injecting it into a live cluster — the
-/// paper's "check the logic before injecting policies" item, at
-/// production standards. The budgeted interpreter (validate_policy)
-/// rejects syntax errors and infinite loops; shadow evaluation rejects
-/// policies that are *well-formed but harmful*: ones that ping-pong
-/// subtrees, thrash (migrate every tick while shipping nothing), or
-/// error/blow their budget on real inputs.
+/// Shadow evaluation: run a *candidate* policy in the simulator before
+/// injecting it into a live cluster — the paper's "check the logic
+/// before injecting policies" item. The budgeted interpreter
+/// (validate_policy) rejects syntax errors and infinite loops; shadow
+/// evaluation rejects policies that are *well-formed but harmful*: ones
+/// that ping-pong subtrees, thrash (migrate every tick while shipping
+/// nothing), or error/blow their budget on real inputs.
 ///
-/// The replay is driven by the recorded timeline (`*.trace.json` dumps
-/// from src/obs): every recorded balancer tick (a `when` event) is
-/// re-run through the candidate's when/where/howmuch hooks in a
-/// sandboxed MantleBalancer, against a *shadow load model*. Per-rank
-/// load evolves from the recorded workload growth (positive
-/// heartbeat-to-heartbeat deltas — arrivals hitting that rank) plus the
-/// candidate's own exports; recorded load *drops* are deliberately
-/// excluded, since they are the recorded balancer's migrations and
-/// replaying them under a candidate that also migrates would count the
-/// rebalancing twice. Each shadow export ships an identified chunk (a
-/// subtree stand-in; re-exports that give back a comparable amount of
-/// load prefer the chunk most recently imported from the destination,
-/// so a policy that bounces load back and forth bounces the *same*
-/// chunk, exactly what the ping-pong detector keys on, while small
-/// organic counter-flows ship fresh chunks and do not trip it). The
-/// synthetic timeline then runs through the obs/analyze
-/// detectors; any trip, or hook errors / budget exhaustions above
-/// threshold, rejects the candidate.
+/// The candidate is judged by what it does, the way upstream validates a
+/// balancer: a sandboxed MantleBalancer running it is installed on every
+/// rank of each chaos scenario (create-heavy, compile, fault-recovery;
+/// see chaos::build_scenario) at a fixed seed, the run is drained of
+/// in-flight exports, and the obs/analyze detectors run over that run's
+/// own trace. Every hook — metaload included — is evaluated by the real
+/// mechanism, and hook calls, errors and budget exhaustions are read from
+/// the run's mantle_<hook>_{calls,errors}_total and
+/// mantle_hook_budget_exhaustions_total counters.
 
 namespace mantle::obs {
 class MetricsRegistry;
@@ -47,24 +37,14 @@ struct ShadowConfig {
   /// Interpreter budget per hook call in the sandbox (same default as a
   /// live MantleBalancer).
   std::uint64_t budget = 1 << 20;
-  std::uint64_t lua_seed = 0;
-  /// Reject when hook errors exceed this fraction of hook calls.
-  /// Non-zero tolerance: a policy guarding MDSs[whoami+1] on the last
-  /// rank of a *recorded* cluster layout it never saw may take a few
-  /// counted sanitizations without being dangerous.
-  double max_hook_error_rate = 0.05;
-  /// Budget exhaustions are never tolerated: one means the policy has an
-  /// input-dependent unbounded loop that validate_policy's synthetic
-  /// view did not reach.
-  std::uint64_t max_budget_exhaustions = 0;
-  /// `need_min` scaling applied to targets when sizing shadow exports,
-  /// mirroring ClusterConfig::need_min_factor's default.
-  double need_min_factor = 0.8;
-  /// Ignore shadow export goals at or below this load (mirrors
-  /// ClusterConfig::bal_min_load's spirit; keeps noise exports out).
-  double min_export_load = 1e-9;
-  /// Detector thresholds for the synthetic timeline.
+  /// Detector thresholds applied to each run's trace.
   obs::AnalyzeConfig analyze;
+};
+
+/// One scenario run with the candidate installed.
+struct ShadowRun {
+  std::string scenario;  ///< chaos::scenario_name()
+  obs::Report report;    ///< analysis of the run's trace (detectors included)
 };
 
 /// The outcome of one shadow evaluation.
@@ -72,29 +52,28 @@ struct ShadowVerdict {
   bool accepted = false;
   std::string reason;  ///< first rejection reason; empty when accepted
 
-  std::uint64_t ticks_replayed = 0;     ///< recorded `when` events re-run
   std::uint64_t hook_calls = 0;         ///< candidate hook evaluations
   std::uint64_t hook_errors = 0;        ///< errors + counted sanitizations
   std::uint64_t budget_exhaustions = 0; ///< hook runs that hit the budget
-  std::uint64_t exports = 0;            ///< shadow migrations performed
-  int num_ranks = 0;
+  std::uint64_t exports = 0;            ///< migrations started
 
-  /// Analysis of the synthetic decision timeline (detectors included).
-  obs::Report report;
+  std::vector<ShadowRun> runs;  ///< one per scenario, in scenario order
 
-  /// Deterministic JSON (name-ordered keys), embedding report.to_json().
+  /// Deterministic JSON (name-ordered keys), embedding each run's
+  /// report.to_json().
   std::string to_json() const;
   /// Human-readable block for terminals.
   std::string to_table() const;
 };
 
-/// Replay `recorded` against `policy`. `metrics` (optional) receives
+/// Run `policy` through the three chaos scenarios. It is rejected on any
+/// budget exhaustion, any detector trip, or hook errors above 5% of hook
+/// calls. `metrics` (optional) receives
 /// mantle_shadow_{evaluations,rejections}_total; `verdict_trace`
-/// (optional) gets one ShadowVerdict event stamped at the end of the
-/// replayed timeline. Deterministic: same events + same policy + same
-/// config => byte-identical verdict JSON.
-ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
-                              const core::MantlePolicy& policy,
+/// (optional) gets one ShadowVerdict event stamped at the end of the last
+/// run. Deterministic: same policy + same config => byte-identical
+/// verdict JSON.
+ShadowVerdict shadow_evaluate(const core::MantlePolicy& policy,
                               const ShadowConfig& cfg = {},
                               obs::MetricsRegistry* metrics = nullptr,
                               obs::TraceSink* verdict_trace = nullptr);
@@ -102,8 +81,7 @@ ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
 /// The injection gate: validate (syntax + budgeted dry run) and then
 /// shadow-evaluate. Returns "" when the policy may be injected, or a
 /// description of why it must not be.
-std::string gate_injection(const std::vector<obs::TraceEvent>& recorded,
-                           const core::MantlePolicy& policy,
+std::string gate_injection(const core::MantlePolicy& policy,
                            const ShadowConfig& cfg = {},
                            obs::MetricsRegistry* metrics = nullptr,
                            obs::TraceSink* verdict_trace = nullptr);

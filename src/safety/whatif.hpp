@@ -12,16 +12,15 @@
 /// recorded run saw (the decision provenance dump) and diff its verdicts
 /// against what the recorded policy actually decided, decision by
 /// decision. Where shadow evaluation (shadow.hpp) answers "is this
-/// policy safe to inject", what-if answers "what would it have done
-/// differently": same when/where/howmuch hooks, but fed the recorded
-/// per-rank heartbeat tables instead of a synthetic load model, so the
-/// comparison is exact — a candidate identical to the recorded policy
-/// produces zero diffs.
+/// policy safe to inject" by running it in whole scenarios, what-if
+/// answers "what would it have done differently" one step at a time:
+/// same when/where/howmuch hooks, fed the recorded per-rank heartbeat
+/// tables, so the comparison is exact — a candidate identical to the
+/// recorded policy produces zero diffs.
 ///
-/// The candidate runs in the same sandbox as shadow evaluation (a
-/// budgeted MantleBalancer per recorded rank, so policies with per-rank
-/// state — e.g. Fill & Spill's consecutive-overload counter — evolve it
-/// in recorded decision order). Records whose per-rank input tables were
+/// The candidate runs sandboxed (a budgeted MantleBalancer per recorded
+/// rank, so policies with per-rank state — e.g. Fill & Spill's
+/// consecutive-overload counter — evolve it in recorded decision order). Records whose per-rank input tables were
 /// truncated at capture time (ClusterConfig::provenance_max_ranks) are
 /// counted and skipped: their inputs cannot be reconstructed.
 ///

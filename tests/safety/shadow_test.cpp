@@ -15,32 +15,14 @@ namespace {
 using obs::EventKind;
 using obs::TraceEvent;
 
-/// A synthetic recording of a hotspot run: rank 0's load grows by 10 per
-/// tick while ranks 1..n-1 idle, and every rank runs one balancer tick
-/// per interval. This is the healthy-workload shape every reasonable
-/// policy must survive: the growth is organic (monotone heartbeats, no
-/// recorded migrations), so any oscillation on the shadow timeline is
-/// the candidate's own doing.
-std::vector<TraceEvent> hotspot_trace(int ticks = 20, int nranks = 3) {
-  obs::TraceSink sink;
-  double hot = 0.0;
-  for (int k = 0; k < ticks; ++k) {
-    const Time t = static_cast<Time>(k + 1) * 1'000'000;
-    hot += 10.0;
-    sink.event(t, EventKind::HeartbeatSent, 0, -1, {},
-               {{"load", hot}, {"cpu", 35.0}});
-    for (int r = 1; r < nranks; ++r)
-      sink.event(t, EventKind::HeartbeatSent, r, -1, {},
-                 {{"load", 0.0}, {"cpu", 5.0}});
-    for (int r = 0; r < nranks; ++r)
-      sink.event(t + 1000, EventKind::WhenDecision, r, -1, {},
-                 {{"go", 0.0}});
-  }
-  return sink.snapshot();
-}
+// The seeded bad policies compute a real load (metaload over the inode
+// read/write counters): a policy whose loads are all zero never reaches
+// when(), because the mechanism only consults it once the cluster's
+// total load clears mds_bal_min_load.
 
 core::MantlePolicy ping_pong_policy() {
   core::MantlePolicy p;
+  p.metaload = "IRD + IWR";
   p.mdsload = "MDSs[i][\"all\"]";
   p.when = "return true";
   p.where =
@@ -53,6 +35,7 @@ core::MantlePolicy ping_pong_policy() {
 
 core::MantlePolicy thrash_policy() {
   core::MantlePolicy p;
+  p.metaload = "IRD + IWR";
   p.mdsload = "MDSs[i][\"all\"]";
   p.when = "return true";  // go every tick...
   p.where = "for j = 1, #MDSs do targets[j] = 0 end";  // ...ship nothing
@@ -61,76 +44,95 @@ core::MantlePolicy thrash_policy() {
 }
 
 TEST(ShadowTest, PaperPoliciesAccepted) {
-  const std::vector<TraceEvent> rec = hotspot_trace();
   for (const char* name :
        {"original", "greedy", "greedy_even", "fill_spill", "adaptable"}) {
     core::MantlePolicy p;
     ASSERT_EQ(load_policy(name, p), "") << name;
-    const ShadowVerdict v = shadow_evaluate(rec, p);
+    const ShadowVerdict v = shadow_evaluate(p);
     EXPECT_TRUE(v.accepted) << name << ": " << v.reason;
-    EXPECT_EQ(v.ticks_replayed, 60u) << name;  // 20 intervals x 3 ranks
-    EXPECT_EQ(v.num_ranks, 3) << name;
+    ASSERT_EQ(v.runs.size(), 3u) << name;
+    EXPECT_EQ(v.runs[0].scenario, "create-heavy");
+    EXPECT_EQ(v.runs[1].scenario, "compile");
+    EXPECT_EQ(v.runs[2].scenario, "fault-recovery");
+    EXPECT_GT(v.hook_calls, 0u) << name;
   }
 }
 
 TEST(ShadowTest, PingPongPolicyRejected) {
-  const ShadowVerdict v = shadow_evaluate(hotspot_trace(), ping_pong_policy());
+  const ShadowVerdict v = shadow_evaluate(ping_pong_policy());
   EXPECT_FALSE(v.accepted);
   EXPECT_NE(v.reason.find("ping-pong"), std::string::npos) << v.reason;
-  EXPECT_GE(v.report.count("ping-pong"), 1u);
+  std::uint64_t trips = 0;
+  for (const ShadowRun& run : v.runs) trips += run.report.count("ping-pong");
+  EXPECT_GE(trips, 1u);
 }
 
 TEST(ShadowTest, ThrashPolicyRejected) {
-  const ShadowVerdict v = shadow_evaluate(hotspot_trace(), thrash_policy());
+  const ShadowVerdict v = shadow_evaluate(thrash_policy());
   EXPECT_FALSE(v.accepted);
   EXPECT_NE(v.reason.find("thrash"), std::string::npos) << v.reason;
 }
 
 TEST(ShadowTest, InputDependentLoopRejectedOnBudget) {
-  // Loops unconditionally once replayed — the budget backstop must
-  // convert that into a rejection rather than a hang.
+  // Loops unconditionally once the cluster carries load — the budget
+  // backstop must convert that into a rejection rather than a hang.
   core::MantlePolicy p;
+  p.metaload = "IRD + IWR";
+  p.mdsload = "MDSs[i][\"all\"]";
   p.when = "while total > -1 do end\nreturn false";
   ShadowConfig cfg;
   cfg.budget = 1 << 12;  // keep the test fast
-  const ShadowVerdict v = shadow_evaluate(hotspot_trace(), p, cfg);
+  const ShadowVerdict v = shadow_evaluate(p, cfg);
   EXPECT_FALSE(v.accepted);
   EXPECT_NE(v.reason.find("budget"), std::string::npos) << v.reason;
   EXPECT_GT(v.budget_exhaustions, 0u);
 }
 
-TEST(ShadowTest, EmptyRecordingRejected) {
+TEST(ShadowTest, BrokenMetaloadRejectedOnHookErrors) {
+  // Listing 1 with a metaload hook that fails on every call: the real
+  // mechanism evaluates metaload like every other hook, so the errors
+  // count against the candidate.
   core::MantlePolicy p;
-  ASSERT_EQ(load_policy("original", p), "");
-  const ShadowVerdict v = shadow_evaluate({}, p);
+  ASSERT_EQ(load_policy("greedy", p), "");
+  p.metaload = "nil + 1";
+  const ShadowVerdict v = shadow_evaluate(p);
   EXPECT_FALSE(v.accepted);
-  EXPECT_NE(v.reason.find("no balancer ticks"), std::string::npos) << v.reason;
+  EXPECT_NE(v.reason.find("hook error rate"), std::string::npos) << v.reason;
+  EXPECT_GT(v.hook_errors * 20, v.hook_calls);
+  EXPECT_EQ(v.budget_exhaustions, 0u);  // failing is not looping
+}
+
+TEST(ShadowTest, ZeroLoadPingPongAccepted) {
+  // Without a metaload hook every load is zero, so the when hook is never
+  // consulted and nothing migrates: the policy is inert, not harmful.
+  core::MantlePolicy p = ping_pong_policy();
+  p.metaload.clear();
+  const ShadowVerdict v = shadow_evaluate(p);
+  EXPECT_TRUE(v.accepted) << v.reason;
+  EXPECT_EQ(v.exports, 0u);
 }
 
 TEST(ShadowTest, VerdictJsonDeterministic) {
-  const std::vector<TraceEvent> rec = hotspot_trace();
-  const ShadowVerdict a = shadow_evaluate(rec, ping_pong_policy());
-  const ShadowVerdict b = shadow_evaluate(rec, ping_pong_policy());
+  const ShadowVerdict a = shadow_evaluate(ping_pong_policy());
+  const ShadowVerdict b = shadow_evaluate(ping_pong_policy());
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(a.to_json().rfind("{\"accepted\":", 0), 0u);
 }
 
 TEST(ShadowTest, GateComposesValidationAndReplay) {
-  const std::vector<TraceEvent> rec = hotspot_trace();
-
   core::MantlePolicy good;
   ASSERT_EQ(load_policy("greedy", good), "");
-  EXPECT_EQ(gate_injection(rec, good), "");
+  EXPECT_EQ(gate_injection(good), "");
 
   // Unconditional infinite loop: caught by stage 1 (validate_policy),
-  // never reaches the replay.
+  // never reaches the scenario runs.
   core::MantlePolicy loop;
   loop.when = "while 1 do end";
-  const std::string err = gate_injection(rec, loop);
+  const std::string err = gate_injection(loop);
   EXPECT_NE(err.find("validation failed"), std::string::npos) << err;
 
-  // Well-formed but harmful: passes validation, rejected by the replay.
-  const std::string harm = gate_injection(rec, ping_pong_policy());
+  // Well-formed but harmful: passes validation, rejected by the runs.
+  const std::string harm = gate_injection(ping_pong_policy());
   EXPECT_NE(harm.find("shadow evaluation rejected"), std::string::npos)
       << harm;
 }
@@ -138,12 +140,11 @@ TEST(ShadowTest, GateComposesValidationAndReplay) {
 TEST(ShadowTest, MetricsAndVerdictEventEmitted) {
   obs::MetricsRegistry metrics;
   obs::TraceSink verdicts;
-  const std::vector<TraceEvent> rec = hotspot_trace();
 
   core::MantlePolicy good;
   ASSERT_EQ(load_policy("original", good), "");
-  shadow_evaluate(rec, good, {}, &metrics, &verdicts);
-  shadow_evaluate(rec, ping_pong_policy(), {}, &metrics, &verdicts);
+  shadow_evaluate(good, {}, &metrics, &verdicts);
+  shadow_evaluate(ping_pong_policy(), {}, &metrics, &verdicts);
 
   EXPECT_EQ(metrics.counter("mantle_shadow_evaluations_total").value(), 2u);
   EXPECT_EQ(metrics.counter("mantle_shadow_rejections_total").value(), 1u);

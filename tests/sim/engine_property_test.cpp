@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <queue>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,13 +39,51 @@ class RefQueue {
   std::uint64_t seq_ = 0;
 };
 
+/// Nested rescheduling, identical in both models: each dispatched event
+/// spawns 0-2 children from a dedicated RNG stream, ids assigned in the
+/// model's own dispatch order, until a fixed budget of children is
+/// spent. The stream and the ids agree between the models if and only if
+/// their dispatch orders do. (The fan-out has mean 1, a critical
+/// branching process, so without the budget one run dispatches ~10^8
+/// events.)
+class Spawner {
+ public:
+  static constexpr std::uint64_t kChildBudget = 200'000;
+
+  explicit Spawner(std::uint64_t first_id) : next_id_(first_id) {}
+
+  const std::vector<std::pair<Time, std::uint64_t>>& children(Time now) {
+    out_.clear();
+    const std::uint64_t n = rng_.uniform(0, 2);
+    for (std::uint64_t i = 0; i < n && spawned_ < kChildBudget; ++i) {
+      Time d = 0;
+      switch (rng_.uniform(0, 2)) {
+        case 0: d = rng_.uniform(0, 100); break;
+        case 1: d = rng_.uniform(0, 10'000); break;
+        default: d = rng_.uniform(0, 10'000'000); break;
+      }
+      ++spawned_;
+      out_.emplace_back(now + d, next_id_++);
+    }
+    return out_;
+  }
+
+  std::uint64_t spawned() const { return spawned_; }
+
+ private:
+  Rng rng_{0xfa11};
+  std::uint64_t next_id_;
+  std::uint64_t spawned_ = 0;
+  std::vector<std::pair<Time, std::uint64_t>> out_;
+};
+
 TEST(EngineProperty, MatchesReferenceHeapOrder) {
+  constexpr std::uint64_t kSeeded = 10'000;
   Rng rng(0xdecade);
   Engine e;
   RefQueue ref;
   std::vector<std::uint64_t> engine_order;
   std::vector<std::uint64_t> ref_order;
-  std::uint64_t next_id = 0;
 
   // Mixed horizon profile: short hops, bucket-width jumps and far-future
   // leaps, so events land in the bottom tier, every rung depth and the
@@ -57,43 +97,21 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
     }
   };
 
-  // Each dispatched event may reschedule fresh events (nested schedules),
-  // mirrored into the reference model with the same ids and times. A
-  // dedicated RNG decides the fan-out so both models see the same stream.
-  Rng fanout_rng(0xfa11);
-  std::vector<std::pair<Time, std::uint64_t>> pending_children;
-  const auto spawn_children = [&](Time now) {
-    pending_children.clear();
-    const std::uint64_t n = fanout_rng.uniform(0, 2);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Time d = 0;
-      switch (fanout_rng.uniform(0, 2)) {
-        case 0: d = fanout_rng.uniform(0, 100); break;
-        case 1: d = fanout_rng.uniform(0, 10'000); break;
-        default: d = fanout_rng.uniform(0, 10'000'000); break;
-      }
-      pending_children.emplace_back(now + d, next_id++);
-    }
-  };
-
+  Spawner engine_spawn(kSeeded);
   std::function<void(std::uint64_t)> on_fire = [&](std::uint64_t id) {
     engine_order.push_back(id);
-    spawn_children(e.now());
-    for (const auto& [when, cid] : pending_children)
+    for (const auto& [when, cid] : engine_spawn.children(e.now()))
       e.schedule_at(when, [&on_fire, cid] { on_fire(cid); });
   };
 
   // Seed both models with 10k random schedules.
-  for (int i = 0; i < 10'000; ++i) {
+  for (std::uint64_t id = 0; id < kSeeded; ++id) {
     const Time when = random_delay();
-    const std::uint64_t id = next_id++;
     e.schedule_at(when, [&on_fire, id] { on_fire(id); });
     ref.push(when, id);
   }
 
-  // Drain in random run_until slices. The reference replays the engine's
-  // child spawns: fanout_rng is consumed in dispatch order, which both
-  // models share if and only if the order matches — verified id by id.
+  // Drain the engine in random run_until slices.
   Rng slice_rng(0x511ce);
   Time horizon = 0;
   while (!e.empty()) {
@@ -101,33 +119,23 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
     e.run_until(horizon);
   }
 
-  // Replay the reference: same initial events, same fanout stream.
-  Rng ref_fanout(0xfa11);
+  // Drain the reference with its own spawner.
+  Spawner ref_spawn(kSeeded);
   while (!ref.empty()) {
     const Time now = ref.top_when();
     const std::uint64_t id = ref.pop();
     ref_order.push_back(id);
-    const std::uint64_t n = ref_fanout.uniform(0, 2);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Time d = 0;
-      switch (ref_fanout.uniform(0, 2)) {
-        case 0: d = ref_fanout.uniform(0, 100); break;
-        case 1: d = ref_fanout.uniform(0, 10'000); break;
-        default: d = ref_fanout.uniform(0, 10'000'000); break;
-      }
-      ref.push(now + d, 0);  // id patched below
-    }
+    for (const auto& [when, cid] : ref_spawn.children(now)) ref.push(when, cid);
   }
 
-  // The reference cannot know the engine's child ids up front (they are
-  // assigned in dispatch order), so compare the initial 10k prefix by id
-  // and the overall shape by (count, multiset of fire times implied by
-  // the matching prefix). The prefix check is the strong one: any
-  // ordering bug reorders seeded events long before children matter.
-  ASSERT_EQ(engine_order.size(), ref_order.size());
+  // The whole dispatch order, seeded events and children alike, id by id.
+  EXPECT_EQ(engine_spawn.spawned(), Spawner::kChildBudget);
+  EXPECT_EQ(ref_spawn.spawned(), Spawner::kChildBudget);
+  ASSERT_EQ(engine_order.size(), kSeeded + Spawner::kChildBudget);
+  ASSERT_EQ(ref_order.size(), engine_order.size());
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < ref_order.size(); ++i)
-    if (ref_order[i] != 0 && engine_order[i] != ref_order[i]) ++mismatches;
+    if (engine_order[i] != ref_order[i]) ++mismatches;
   EXPECT_EQ(mismatches, 0u);
 }
 

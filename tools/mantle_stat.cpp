@@ -13,7 +13,7 @@
 ///   mantle-stat --dir obs-dumps --json         # one JSON document
 ///   mantle-stat --dir obs-dumps --write-reports  # <stem>.analysis.json
 ///   mantle-stat --scenario plain --seed 7      # no dumps needed
-///   mantle-stat --shadow run.trace.json my.policy   # injection gate
+///   mantle-stat --shadow my.policy                  # injection gate
 ///   mantle-stat --fuzz --seed 1 --iters 10000       # hook-input fuzzer
 ///   mantle-stat --chaos --seed 1 --iters 2000       # chaos sweep
 ///   mantle-stat --explain obs-dumps --tick 3 --rank 0  # decision narratives
@@ -63,8 +63,7 @@ constexpr int kExitCheckCap = 63;
 struct Options {
   std::string dir;
   std::string scenario;
-  std::string shadow_trace;   // --shadow TRACE POLICY
-  std::string shadow_policy;
+  std::string shadow_policy;  // --shadow POLICY
   std::string explain_dir;    // --explain DIR
   std::string whatif_dir;     // --whatif DIR POLICY
   std::string whatif_policy;
@@ -88,7 +87,7 @@ void usage(std::FILE* to) {
       to,
       "usage: mantle-stat [--dir DIR] [--scenario plain|faulty] [--seed N]\n"
       "                   [--tick-ms N] [--json] [--check] [--write-reports]\n"
-      "       mantle-stat --shadow TRACE POLICY [--json]\n"
+      "       mantle-stat --shadow POLICY [--json]\n"
       "       mantle-stat --fuzz [--seed N] [--iters K] [--quick]\n"
       "                   [--repro-out FILE] [--json]\n"
       "       mantle-stat --chaos [--seed N] [--iters K] [--quick]\n"
@@ -103,11 +102,11 @@ void usage(std::FILE* to) {
       "distinct tripped anomaly detectors (ping-pong, thrash,\n"
       "stuck-export, dead-letter-leak).\n"
       "\n"
-      "--shadow replays the recorded TRACE against POLICY (a builtin name:\n"
-      "original, greedy, greedy_even, fill_spill, adaptable; or a policy\n"
-      "file with [when]/[where]/... sections) in a sandbox and runs the\n"
-      "anomaly detectors over the decisions it would have made; exit 0 if\n"
-      "the policy may be injected, 65 if it must not be.\n"
+      "--shadow runs POLICY (a builtin name: original, greedy, greedy_even,\n"
+      "fill_spill, adaptable; or a policy file with [when]/[where]/...\n"
+      "sections) on every rank of the three chaos scenarios and runs the\n"
+      "anomaly detectors over each run's trace; exit 0 if the policy may\n"
+      "be injected, 65 if it must not be.\n"
       "\n"
       "--fuzz runs the deterministic hook-input fuzzer (default 10000\n"
       "iterations; --quick = 800); the exit code is the number of shrunk\n"
@@ -217,7 +216,6 @@ int main(int argc, char** argv) {
     } else if (a == "--scenario") {
       opt.scenario = value("--scenario");
     } else if (a == "--shadow") {
-      opt.shadow_trace = value("--shadow");
       opt.shadow_policy = value("--shadow");
     } else if (a == "--explain") {
       opt.explain_dir = value("--explain");
@@ -435,20 +433,8 @@ int main(int argc, char** argv) {
     return std::min<int>(static_cast<int>(total_diffs), kExitCheckCap);
   }
 
-  if (!opt.shadow_trace.empty()) {
+  if (!opt.shadow_policy.empty()) {
     mantle::Log::set_level(mantle::LogLevel::Error);
-    std::string trace_json;
-    if (!read_file(opt.shadow_trace, trace_json)) {
-      std::fprintf(stderr, "mantle-stat: cannot read %s\n",
-                   opt.shadow_trace.c_str());
-      return kExitNoInput;
-    }
-    const auto events = mantle::obs::parse_trace_json(trace_json);
-    if (events.empty()) {
-      std::fprintf(stderr, "mantle-stat: no events in %s\n",
-                   opt.shadow_trace.c_str());
-      return kExitNoInput;
-    }
     mantle::core::MantlePolicy policy;
     const std::string perr =
         mantle::safety::load_policy(opt.shadow_policy, policy);
@@ -461,17 +447,17 @@ int main(int argc, char** argv) {
     const std::string verr =
         mantle::core::validate_policy(policy, scfg.budget);
     if (!verr.empty()) {
-      std::fprintf(stderr, "mantle-stat: policy rejected before replay: %s\n",
+      std::fprintf(stderr, "mantle-stat: policy rejected before the runs: %s\n",
                    verr.c_str());
       return kExitShadowReject;
     }
     const mantle::safety::ShadowVerdict v =
-        mantle::safety::shadow_evaluate(events, policy, scfg);
+        mantle::safety::shadow_evaluate(policy, scfg);
     if (opt.json)
       std::printf("%s\n", v.to_json().c_str());
     else
-      std::printf("== shadow %s vs %s ==\n%s", opt.shadow_policy.c_str(),
-                  opt.shadow_trace.c_str(), v.to_table().c_str());
+      std::printf("== shadow %s ==\n%s", opt.shadow_policy.c_str(),
+                  v.to_table().c_str());
     return v.accepted ? 0 : kExitShadowReject;
   }
 
