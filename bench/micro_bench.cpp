@@ -1,7 +1,8 @@
 /// Microbenchmarks (google-benchmark): the cost of the moving parts —
 /// luam policy evaluation (the paper argues LuaJIT is fast enough for a
 /// 10 s balancing tick; we verify the same holds for luam), decay
-/// counters, dirfrag math, namespace ops and the event engine.
+/// counters, dirfrag math, namespace ops, the event engine and the
+/// cluster-side subtree walks of one balancer tick.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 
 #include "balancers/builtin.hpp"
 #include "harness.hpp"
+#include "cluster/cluster.hpp"
 #include "common/decay_counter.hpp"
 #include "core/mantle.hpp"
 #include "mds/namespace.hpp"
@@ -121,6 +123,55 @@ void BM_MantleMetaload(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(b.metaload(pop));
 }
 BENCHMARK(BM_MantleMetaload);
+
+// --- Cluster layer: one balancer tick's subtree walks ---------------------
+// Rank 0 owns a namespace of `entries` files in 100-file leaf directories
+// under 10 top-level directories. One iteration is what MdsNode::tick does
+// on the root-owning rank: measure()'s walk over its subtree roots, then
+// one gather_candidates per export target, either sharing one WalkMemo or
+// with none (every candidate walked afresh, the pre-memo cost).
+
+void BM_GatherCandidatesTick(benchmark::State& state) {
+  const auto entries = static_cast<int>(state.range(0));
+  const auto targets = static_cast<int>(state.range(1));
+  const bool memoized = state.range(2) != 0;
+  sim::Engine engine;
+  cluster::ClusterConfig cfg;
+  cfg.num_mds = 2;
+  cluster::MdsCluster c(engine, cfg);
+  auto& ns = c.ns();
+  std::vector<mds::InodeId> tops;
+  for (int t = 0; t < 10; ++t)
+    tops.push_back(ns.mkdir(ns.root(), "t" + std::to_string(t), 0));
+  for (int l = 0; l < entries / 100; ++l) {
+    const mds::InodeId leaf =
+        ns.mkdir(tops[static_cast<std::size_t>(l % 10)], "l" + std::to_string(l), 0);
+    for (int f = 0; f < 100; ++f) {
+      const std::string name = "f" + std::to_string(f);
+      ns.create(leaf, name, 0);
+      ns.record_op(ns.frag_of(leaf, name), mds::MetaOp::IWR, 0);
+    }
+  }
+  const Time now = kSec;
+  engine.run_until(now);
+  balancers::OriginalBalancer policy;
+  double load = 0;
+  for (const auto& root : c.roots_of(0))
+    load += policy.metaload(c.subtree_pop(root, 0, now));
+  const double goal = load / (targets + 1);
+  for (auto _ : state) {
+    cluster::WalkMemo memo;
+    cluster::WalkMemo* mp = memoized ? &memo : nullptr;
+    for (const auto& root : c.roots_of(0))
+      benchmark::DoNotOptimize(c.subtree_stats(root, 0, now, mp));
+    for (int t = 0; t < targets; ++t)
+      benchmark::DoNotOptimize(c.gather_candidates(0, goal, policy, now, mp));
+  }
+}
+BENCHMARK(BM_GatherCandidatesTick)
+    ->ArgNames({"entries", "targets", "memo"})
+    ->ArgsProduct({{10'000, 100'000}, {1, 64}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // --- Compile-once pipeline ---------------------------------------------
 // The pre-PR interpreter re-lexed and re-parsed the hook source on every

@@ -124,6 +124,9 @@ ClusterMetrics::ClusterMetrics(obs::MetricsRegistry& reg)
       provenance_dropped(reg.counter("mantle_provenance_dropped_total",
                                      "decisions dropped at provenance "
                                      "capacity")),
+      frags_visited(reg.counter("mantle_subtree_frags_visited_total",
+                                "dirfrags summed by balancer-tick subtree "
+                                "walks (memo misses)")),
       request_latency_ms(reg.histogram("request_latency_ms",
                                        obs::buckets::latency_ms(),
                                        "client-visible request latency")),
@@ -178,11 +181,6 @@ void MdsNode::on_heartbeat(const HeartbeatPayload& hb) {
     }
     hb_[static_cast<std::size_t>(hb.rank)] = hb;
     cluster_.om_.hb_received.inc();
-    cluster_.trace_.event(
-        now, obs::EventKind::HeartbeatReceived, rank_, hb.rank, {},
-        {{"age_us", static_cast<double>(now - hb.sent_at)},
-         {"load", hb.all_metaload},
-         {"cpu", hb.cpu_pct}});
   }
 }
 
@@ -451,7 +449,7 @@ void MdsNode::complete(Request r, Time /*svc*/) {
   cluster_.deliver_reply(rep);
 }
 
-HeartbeatPayload MdsNode::measure() {
+HeartbeatPayload MdsNode::measure(WalkMemo* memo) {
   const Time now = cluster_.sim_now();
   const ClusterConfig& cfg = cluster_.config();
   HeartbeatPayload hb;
@@ -471,18 +469,20 @@ HeartbeatPayload MdsNode::measure() {
   hb.req_rate = static_cast<double>(done_in_window_) / to_seconds(window);
   hb.queue_len = static_cast<double>(queue_.size());
 
-  const auto own_entries = cluster_.auth_entry_count(rank_);
+  // One walk per owned subtree root yields both the memory signal (owned
+  // dentries) and the metadata load via the installed policy (or the
+  // CephFS default).
+  std::size_t own_entries = 0;
+  double auth_load = 0.0;
+  for (const DirFragId& root : cluster_.roots_of(rank_)) {
+    const SubtreeStats st = cluster_.subtree_stats(root, rank_, now, memo);
+    own_entries += st.entries;
+    auth_load += balancer_ ? balancer_->metaload(st.pop)
+                           : default_metaload(st.pop);
+  }
   hb.mem_pct = std::clamp(
       100.0 * static_cast<double>(own_entries) / cfg.mem_capacity_entries,
       0.0, 100.0);
-
-  // Metadata loads via the installed policy (or the CephFS default).
-  auto apply_metaload = [&](const PopSnapshot& p) {
-    return balancer_ ? balancer_->metaload(p) : default_metaload(p);
-  };
-  double auth_load = 0.0;
-  for (const DirFragId& root : cluster_.roots_of(rank_))
-    auth_load += apply_metaload(cluster_.subtree_pop(root, rank_, now));
   hb.auth_metaload = auth_load;
   hb.all_metaload = auth_load + forward_pop_.get(now, cluster_.ns().decay_rate());
   return hb;
@@ -499,13 +499,18 @@ void MdsNode::tick() {
   const Balancer::EvalStats ev0 =
       balancer_ != nullptr ? balancer_->eval_stats() : Balancer::EvalStats{};
 
-  HeartbeatPayload me = measure();
+  // Every subtree walk of this tick goes through one memo: the namespace
+  // and the authority map do not change until the tick returns (exports
+  // it orders only freeze frags, which gathering re-checks live).
+  WalkMemo memo;
+  HeartbeatPayload me = measure(&memo);
   hb_[static_cast<std::size_t>(rank_)] = me;
 
   // Heartbeats take time to pack, travel and unpack; peers see the past,
   // and how far in the past varies per delivery. The network fault layer
   // may drop a delivery, duplicate it, or stretch its delay further.
   NetworkFaults* nf = cluster_.network_faults();
+  int fanout = 0;
   for (int p = 0; p < cluster_.num_mds(); ++p) {
     if (p == rank_) continue;
     if (nf != nullptr && nf->drop_heartbeat(rank_, p)) {
@@ -520,8 +525,7 @@ void MdsNode::tick() {
       cluster_.trace_.event(now, obs::EventKind::HeartbeatDuplicated, rank_, p);
     }
     cluster_.om_.hb_sent.inc();
-    cluster_.trace_.event(now, obs::EventKind::HeartbeatSent, rank_, p, {},
-                          {{"load", me.all_metaload}, {"cpu", me.cpu_pct}});
+    ++fanout;
     for (int c = 0; c < copies; ++c) {
       Time delay = cfg.hb_delay;
       if (cfg.hb_jitter_frac > 0.0) {
@@ -538,6 +542,13 @@ void MdsNode::tick() {
       });
     }
   }
+  // One event per sender per tick: the payload is the same for every
+  // peer, and per-peer anomalies have their own kinds (hb-dropped,
+  // hb-duplicated, hb-stale-rejected).
+  cluster_.trace_.event(now, obs::EventKind::HeartbeatSent, rank_, -1, {},
+                        {{"load", me.all_metaload},
+                         {"cpu", me.cpu_pct},
+                         {"fanout", static_cast<double>(fanout)}});
 
   if (balancer_ != nullptr) {
     ClusterView view;
@@ -639,7 +650,7 @@ void MdsNode::tick() {
         const double goal = targets[t] * cfg.need_min_factor;
         if (goal <= cfg.bal_min_load) continue;
         std::vector<ExportCandidate> pool =
-            cluster_.gather_candidates(rank_, goal, *balancer_, now);
+            cluster_.gather_candidates(rank_, goal, *balancer_, now, &memo);
         const std::vector<std::size_t> picks =
             best_selection(selectors, pool, goal);
         cluster_.trace_.event(
@@ -922,9 +933,14 @@ void MdsCluster::defer_to_migration(const DirFragId& id, Request r) {
   route_or_park(id, std::move(r));
 }
 
-PopSnapshot MdsCluster::subtree_pop(const DirFragId& root, MdsRank rank,
-                                    Time now) const {
-  PopSnapshot out;
+SubtreeStats MdsCluster::subtree_stats(const DirFragId& root, MdsRank rank,
+                                       Time now, WalkMemo* memo) const {
+  if (memo != nullptr) {
+    const auto it = memo->find(root);
+    if (it != memo->end()) return it->second;
+  }
+  SubtreeStats out;
+  std::uint64_t visited = 0;
   const auto& rate = ns_.decay_rate();
   // Depth-first over the frag-scoped subtree, stopping at foreign bounds.
   std::vector<DirFragId> stack{root};
@@ -934,18 +950,29 @@ PopSnapshot MdsCluster::subtree_pop(const DirFragId& root, MdsRank rank,
     const DirFrag* f = ns_.frag(cur);
     if (f == nullptr) continue;
     if (rank != kNoRank && f->auth != rank) continue;  // foreign bound
-    out.ird += f->pop.get(MetaOp::IRD, now, rate);
-    out.iwr += f->pop.get(MetaOp::IWR, now, rate);
-    out.readdir += f->pop.get(MetaOp::READDIR, now, rate);
-    out.fetch += f->pop.get(MetaOp::FETCH, now, rate);
-    out.store += f->pop.get(MetaOp::STORE, now, rate);
+    ++visited;
+    out.pop.ird += f->pop.get(MetaOp::IRD, now, rate);
+    out.pop.iwr += f->pop.get(MetaOp::IWR, now, rate);
+    out.pop.readdir += f->pop.get(MetaOp::READDIR, now, rate);
+    out.pop.fetch += f->pop.get(MetaOp::FETCH, now, rate);
+    out.pop.store += f->pop.get(MetaOp::STORE, now, rate);
+    out.entries += f->dentries.size();
     for (const auto& [name, ino] : f->dentries) {
       const mantle::mds::Dir* child = ns_.dir(ino);
       if (child == nullptr) continue;
       for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
     }
   }
+  if (memo != nullptr) {
+    om_.frags_visited.inc(visited);
+    memo->emplace(root, out);
+  }
   return out;
+}
+
+PopSnapshot MdsCluster::subtree_pop(const DirFragId& root, MdsRank rank,
+                                    Time now) const {
+  return subtree_stats(root, rank, now).pop;
 }
 
 std::size_t MdsCluster::subtree_entry_count(const DirFragId& root,
@@ -971,21 +998,23 @@ std::size_t MdsCluster::subtree_entry_count(const DirFragId& root,
 std::vector<ExportCandidate> MdsCluster::gather_candidates(MdsRank rank,
                                                            double target,
                                                            Balancer& policy,
-                                                           Time now) {
+                                                           Time now,
+                                                           WalkMemo* memo) {
   struct Item {
     ExportCandidate cand;
     bool drillable = true;
   };
   std::vector<Item> pool;
-  auto add = [&](const DirFragId& id) {
-    if (is_frozen(id)) return;
+  auto candidate = [&](const DirFragId& id) {
+    const SubtreeStats st = subtree_stats(id, rank, now, memo);
     Item item;
     item.cand.frag = id;
-    item.cand.load = policy.metaload(subtree_pop(id, rank, now));
-    item.cand.entries = subtree_entry_count(id, rank);
-    pool.push_back(std::move(item));
+    item.cand.load = policy.metaload(st.pop);
+    item.cand.entries = st.entries;
+    return item;
   };
-  for (const DirFragId& root : roots_of(rank)) add(root);
+  for (const DirFragId& root : roots_of(rank))
+    if (!is_frozen(root)) pool.push_back(candidate(root));
 
   // Drill down: a candidate too hot to ship whole is replaced by its child
   // directories' fragments ("subtrees are divided and migrated only if
@@ -1018,14 +1047,8 @@ std::vector<ExportCandidate> MdsCluster::gather_candidates(MdsRank rank,
         continue;
       }
       drilled = true;
-      for (const DirFragId& c : children) {
-        if (is_frozen(c)) continue;
-        Item ci;
-        ci.cand.frag = c;
-        ci.cand.load = policy.metaload(subtree_pop(c, rank, now));
-        ci.cand.entries = subtree_entry_count(c, rank);
-        next.push_back(std::move(ci));
-      }
+      for (const DirFragId& c : children)
+        if (!is_frozen(c)) next.push_back(candidate(c));
     }
     pool = std::move(next);
     if (!drilled) break;

@@ -297,6 +297,20 @@ class SessionTable {
 
 class MdsCluster;
 
+/// Popularity and dentry count of one auth subtree, from a single walk.
+struct SubtreeStats {
+  PopSnapshot pop;
+  std::size_t entries = 0;
+};
+
+/// Memo of subtree walks, keyed by walk root. One memo is valid for one
+/// rank at one `now` while neither the namespace nor any authority
+/// changes: MdsNode::tick declares one as a local and passes it to
+/// measure() and to every gather_candidates() call, so each frag's
+/// subtree is walked at most once per tick however many export targets
+/// the tick serves.
+using WalkMemo = std::map<DirFragId, SubtreeStats>;
+
 /// Cached handles into the cluster's metrics registry. Hot paths (request
 /// completion, heartbeat fan-out) bump these directly instead of paying a
 /// name lookup per event; the registry owns the storage.
@@ -328,6 +342,7 @@ struct ClusterMetrics {
   obs::Counter& sessions_flushed;
   obs::Counter& provenance_records;
   obs::Counter& provenance_dropped;
+  obs::Counter& frags_visited;
   obs::Histogram& request_latency_ms;
   obs::Histogram& migration_entries;
   obs::Histogram& migration_duration_ms;
@@ -364,7 +379,8 @@ class MdsNode {
   const std::vector<HeartbeatPayload>& heartbeats() const { return hb_; }
 
   /// Fresh metrics snapshot (also what goes into this node's heartbeat).
-  HeartbeatPayload measure();
+  /// The tick passes its walk memo; nullptr walks every root afresh.
+  HeartbeatPayload measure(WalkMemo* memo = nullptr);
 
  private:
   friend class MdsCluster;
@@ -546,11 +562,22 @@ class MdsCluster {
   /// A dirfrag is frozen while a migration that covers it is in flight.
   bool is_frozen(const DirFragId& id) const;
 
-  /// Aggregate popularity of the auth-subtree rooted at `root` counting
-  /// only fragments owned by `rank` (kNoRank = count everything).
+  /// Aggregate popularity and dentry count of the auth-subtree rooted at
+  /// `root`, counting only fragments owned by `rank` (kNoRank = count
+  /// everything), from one depth-first walk that stops at foreign bounds.
+  /// With a memo, a root already walked is answered from it and a fresh
+  /// walk is stored in it and adds its frag count to
+  /// mantle_subtree_frags_visited_total. Walks without a memo (tests,
+  /// read-only probes) leave every metric untouched.
+  SubtreeStats subtree_stats(const DirFragId& root, MdsRank rank, Time now,
+                             WalkMemo* memo = nullptr) const;
+
+  /// subtree_stats(root, rank, now).pop.
   PopSnapshot subtree_pop(const DirFragId& root, MdsRank rank, Time now) const;
 
-  /// Dentries in the subtree hanging below `root` (same rank filter).
+  /// Dentries in the subtree hanging below `root` (same rank filter). Reads
+  /// no popularity counter, so entry-only callers (export sizing, the
+  /// per-rank entry census) never apply lazy decay at a new time.
   std::size_t subtree_entry_count(const DirFragId& root, MdsRank rank) const;
 
   /// Start a two-phase-commit export of `frag` from its current authority
@@ -603,8 +630,11 @@ class MdsCluster {
   /// drilling into candidates too hot to move whole (paper: "subtrees are
   /// divided and migrated only if their ancestors are too popular").
   /// Sorted by descending load; frozen and foreign fragments excluded.
+  /// `memo` is the calling tick's walk memo (see WalkMemo); nullptr walks
+  /// every candidate afresh and is the test oracle for the memoized path.
   std::vector<ExportCandidate> gather_candidates(MdsRank rank, double target,
-                                                 Balancer& policy, Time now);
+                                                 Balancer& policy, Time now,
+                                                 WalkMemo* memo = nullptr);
 
   // -- Introspection -----------------------------------------------------------
   /// In-flight 2PC exports (records with finished == 0). The chaos
@@ -635,10 +665,8 @@ class MdsCluster {
   /// Per-rank count of dentries currently under its authority.
   std::vector<std::size_t> auth_entry_counts() const;
 
-  /// Dentries under one rank's authority. The heartbeat path uses this:
-  /// walking only the caller's subtrees keeps a 512-rank cluster's
-  /// per-interval measurement cost at one namespace sweep total, not one
-  /// per rank.
+  /// Dentries under one rank's authority: an entry-only walk of that
+  /// rank's subtrees, not of the whole namespace.
   std::size_t auth_entry_count(MdsRank rank) const;
 
  private:

@@ -34,7 +34,7 @@ using mantle::Time;
 
 enum class EventKind : int {
   HeartbeatSent = 0,
-  HeartbeatReceived,
+  HeartbeatReceived,  ///< no longer emitted; kept so older dumps still parse
   HeartbeatDropped,
   HeartbeatDuplicated,
   WhenDecision,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -155,6 +156,73 @@ TEST(ObsDeterminism, TruncatedTimelinesAreByteIdentical) {
                                     a.trace_json.size() - 2),
             0)
       << "bounded timeline is not a prefix of the unbounded one";
+}
+
+TEST(ObsTraceSchema, OneHeartbeatEventPerSenderPerTick) {
+  // Heartbeat fan-out is traced once per sender per tick: `hb-sent` has
+  // no peer and carries the number of peers actually sent to, and no
+  // per-pair `hb-received` events exist. Per-pair anomalies keep their
+  // own kinds, so Σ fanout plus the drops covers every (sender, peer).
+  constexpr int kRanks = 3;
+  sim::ScenarioConfig cfg;
+  cfg.cluster.num_mds = kRanks;
+  cfg.cluster.seed = 5;
+  cfg.cluster.bal_interval = kSec;
+  cfg.cluster.split_size = 300;
+  cfg.retry.timeout = 2 * kSec;
+  cfg.max_time = 3 * kMinute;
+  sim::Scenario s(cfg);
+  s.cluster().set_balancer_all(
+      [](int) { return std::make_unique<balancers::OriginalBalancer>(); });
+  for (int c = 0; c < 3; ++c)
+    s.add_client(workloads::make_shared_create_workload(
+        c, "/shared", /*files=*/6000, /*think=*/500));
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  plan.crashes.push_back({kSec, 1});
+  plan.restarts.push_back({3 * kSec, 1});
+  plan.hb_drop_prob = 0.15;
+  plan.hb_duplicate_prob = 0.15;
+  fault::FaultInjector inj(plan);
+  inj.arm(s.cluster());
+  s.run();
+
+  MetricsRegistry& m = s.cluster().metrics();
+  const auto counter = [&](const char* name) { return m.counter(name).value(); };
+  std::map<std::pair<int, Time>, int> sent;  // (rank, t) -> hb-sent count
+  std::map<std::pair<int, Time>, int> ticks;  // (rank, t) -> when count
+  std::uint64_t fanout = 0;
+  std::uint64_t unsent = 0;
+  std::size_t received = 0;
+  for (const TraceEvent& ev : s.cluster().trace().snapshot()) {
+    if (ev.kind == EventKind::HeartbeatReceived) ++received;
+    if (ev.kind == EventKind::WhenDecision) ++ticks[{ev.rank, ev.at}];
+    if (ev.kind != EventKind::HeartbeatSent) continue;
+    ++sent[{ev.rank, ev.at}];
+    EXPECT_EQ(ev.peer, -1);
+    std::map<std::string, double> f(ev.fields.begin(), ev.fields.end());
+    ASSERT_EQ(f.count("load"), 1u);
+    ASSERT_EQ(f.count("cpu"), 1u);
+    ASSERT_EQ(f.count("fanout"), 1u);
+    const auto n = static_cast<std::uint64_t>(f["fanout"]);
+    ASSERT_LE(n, static_cast<std::uint64_t>(kRanks - 1));
+    fanout += n;
+    unsent += static_cast<std::uint64_t>(kRanks - 1) - n;
+  }
+  EXPECT_EQ(received, 0u);
+  // Every up rank ticks with a balancer installed, so the `when` events
+  // enumerate exactly the (rank, tick) pairs that must send.
+  ASSERT_FALSE(ticks.empty());
+  EXPECT_EQ(sent, ticks);
+  for (const auto& [key, n] : sent) EXPECT_EQ(n, 1);
+  // The crashed rank missed ticks while down.
+  std::map<int, int> per_rank;
+  for (const auto& [key, n] : sent) ++per_rank[key.first];
+  EXPECT_LT(per_rank[1], per_rank[0]);
+  EXPECT_EQ(fanout, counter("mds_heartbeats_sent_total"));
+  EXPECT_EQ(unsent, counter("mds_heartbeats_dropped_total"));
+  EXPECT_GT(counter("mds_heartbeats_dropped_total"), 0u);
+  EXPECT_GT(counter("mds_heartbeats_duplicated_total"), 0u);
 }
 
 TEST(ObsLint, EveryRegisteredCounterEndsInTotal) {
