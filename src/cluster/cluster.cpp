@@ -64,6 +64,40 @@ MetaOp op_to_meta(OpType op) {
   return MetaOp::IRD;
 }
 
+/// Calls fn(id, frag) for every fragment of every directory that `f` has
+/// a dentry for, in dentry-name then frag order.
+template <class Fn>
+void for_each_child_frag(const mantle::mds::Namespace& ns, const DirFrag& f,
+                         Fn&& fn) {
+  for (const auto& [name, ino] : f.dentries) {
+    const mantle::mds::Dir* child = ns.dir(ino);
+    if (child == nullptr) continue;
+    for (const auto& [cf, cdf] : child->frags) fn(DirFragId{ino, cf}, cdf);
+  }
+}
+
+/// The region rule of dynamic subtree partitioning: every frag reachable
+/// from `seeds` without crossing a frag owned by a rank other than `rank`
+/// (kNoRank = any owner). Depth-first over an explicit LIFO stack;
+/// visit(id, frag) runs before the frag's children are pushed, so a
+/// visitor may rewrite the frag's authority. Callers sum floats and issue
+/// store writes in visit order, so the order is part of the contract.
+template <class Ns, class Visit>
+void walk_auth_region(Ns& ns, std::vector<DirFragId> stack, MdsRank rank,
+                      Visit&& visit) {
+  while (!stack.empty()) {
+    const DirFragId cur = stack.back();
+    stack.pop_back();
+    auto* f = ns.frag(cur);
+    if (f == nullptr) continue;
+    if (rank != kNoRank && f->auth != rank) continue;  // foreign bound
+    visit(cur, *f);
+    for_each_child_frag(ns, *f, [&](const DirFragId& id, const DirFrag&) {
+      stack.push_back(id);
+    });
+  }
+}
+
 }  // namespace
 
 // ===========================================================================
@@ -250,10 +284,9 @@ void MdsNode::process_front() {
       r.name.empty() ? DirFragId{r.dir, d->frags.begin()->first}
                      : ns.frag_of(r.dir, r.name);
 
-  if (cluster_.is_frozen(target)) {
-    // The covering subtree is mid-migration: park the request with the
-    // migration; it is re-injected at the importer on completion.
-    cluster_.defer_to_migration(target, std::move(r));
+  if (cluster_.defer_to_migration(target, r)) {
+    // The covering subtree is mid-migration: the request is parked with
+    // the migration and re-injected at the importer on completion.
     cluster_.sched_after(0, [this, ep]() {
       if (ep == epoch_) process_front();
     });
@@ -915,22 +948,44 @@ bool MdsCluster::frag_contains(const DirFragId& outer,
   return false;
 }
 
-bool MdsCluster::is_frozen(const DirFragId& id) const {
-  for (const auto& [mid, mig] : active_migrations_)
-    if (frag_contains(mig.rec.frag, id)) return true;
-  return false;
-}
-
-void MdsCluster::defer_to_migration(const DirFragId& id, Request r) {
-  for (auto& [mid, mig] : active_migrations_) {
-    if (frag_contains(mig.rec.frag, id)) {
-      mig.deferred.push_back(std::move(r));
-      return;
+const MdsCluster::ActiveMigration* MdsCluster::covering_migration(
+    const DirFragId& id) const {
+  if (active_migrations_.empty()) return nullptr;
+  // id's inode ancestry, nearest first, as (parent ino, hash of the
+  // child's dentry name) links: the path frag_contains walks, built once
+  // and shared by every migration's test.
+  std::vector<std::pair<InodeId, std::uint32_t>> path;
+  for (InodeId cur = id.ino; cur != kNoInode;) {
+    const mantle::mds::Inode* node = ns_.inode(cur);
+    if (node == nullptr) break;
+    path.emplace_back(node->parent, hash_dentry_name(node->name));
+    cur = node->parent;
+  }
+  for (const auto& [mid, mig] : active_migrations_) {
+    const DirFragId& outer = mig.rec.frag;
+    if (outer.ino == id.ino) {
+      if (outer.frag.contains(id.frag)) return &mig;
+      continue;
+    }
+    for (const auto& [parent, hash] : path) {
+      if (parent != outer.ino) continue;
+      if (outer.frag.contains(hash)) return &mig;
+      break;
     }
   }
-  // Raced with completion (or an abort): resend toward the current
-  // authority, parking if that rank happens to be down.
-  route_or_park(id, std::move(r));
+  return nullptr;
+}
+
+bool MdsCluster::is_frozen(const DirFragId& id) const {
+  return covering_migration(id) != nullptr;
+}
+
+bool MdsCluster::defer_to_migration(const DirFragId& id, Request& r) {
+  // The cluster is not const here; the lookup is shared with is_frozen().
+  auto* mig = const_cast<ActiveMigration*>(covering_migration(id));
+  if (mig == nullptr) return false;
+  mig->deferred.push_back(std::move(r));
+  return true;
 }
 
 SubtreeStats MdsCluster::subtree_stats(const DirFragId& root, MdsRank rank,
@@ -942,27 +997,15 @@ SubtreeStats MdsCluster::subtree_stats(const DirFragId& root, MdsRank rank,
   SubtreeStats out;
   std::uint64_t visited = 0;
   const auto& rate = ns_.decay_rate();
-  // Depth-first over the frag-scoped subtree, stopping at foreign bounds.
-  std::vector<DirFragId> stack{root};
-  while (!stack.empty()) {
-    const DirFragId cur = stack.back();
-    stack.pop_back();
-    const DirFrag* f = ns_.frag(cur);
-    if (f == nullptr) continue;
-    if (rank != kNoRank && f->auth != rank) continue;  // foreign bound
+  walk_auth_region(ns_, {root}, rank, [&](const DirFragId&, const DirFrag& f) {
     ++visited;
-    out.pop.ird += f->pop.get(MetaOp::IRD, now, rate);
-    out.pop.iwr += f->pop.get(MetaOp::IWR, now, rate);
-    out.pop.readdir += f->pop.get(MetaOp::READDIR, now, rate);
-    out.pop.fetch += f->pop.get(MetaOp::FETCH, now, rate);
-    out.pop.store += f->pop.get(MetaOp::STORE, now, rate);
-    out.entries += f->dentries.size();
-    for (const auto& [name, ino] : f->dentries) {
-      const mantle::mds::Dir* child = ns_.dir(ino);
-      if (child == nullptr) continue;
-      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-    }
-  }
+    out.pop.ird += f.pop.get(MetaOp::IRD, now, rate);
+    out.pop.iwr += f.pop.get(MetaOp::IWR, now, rate);
+    out.pop.readdir += f.pop.get(MetaOp::READDIR, now, rate);
+    out.pop.fetch += f.pop.get(MetaOp::FETCH, now, rate);
+    out.pop.store += f.pop.get(MetaOp::STORE, now, rate);
+    out.entries += f.dentries.size();
+  });
   if (memo != nullptr) {
     om_.frags_visited.inc(visited);
     memo->emplace(root, out);
@@ -978,20 +1021,9 @@ PopSnapshot MdsCluster::subtree_pop(const DirFragId& root, MdsRank rank,
 std::size_t MdsCluster::subtree_entry_count(const DirFragId& root,
                                             MdsRank rank) const {
   std::size_t out = 0;
-  std::vector<DirFragId> stack{root};
-  while (!stack.empty()) {
-    const DirFragId cur = stack.back();
-    stack.pop_back();
-    const DirFrag* f = ns_.frag(cur);
-    if (f == nullptr) continue;
-    if (rank != kNoRank && f->auth != rank) continue;
-    out += f->dentries.size();
-    for (const auto& [name, ino] : f->dentries) {
-      const mantle::mds::Dir* child = ns_.dir(ino);
-      if (child == nullptr) continue;
-      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-    }
-  }
+  walk_auth_region(ns_, {root}, rank, [&](const DirFragId&, const DirFrag& f) {
+    out += f.dentries.size();
+  });
   return out;
 }
 
@@ -1033,12 +1065,9 @@ std::vector<ExportCandidate> MdsCluster::gather_candidates(MdsRank rank,
         continue;
       }
       std::vector<DirFragId> children;
-      for (const auto& [name, ino] : f->dentries) {
-        const mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags)
-          if (cdf.auth == rank) children.push_back({ino, cf});
-      }
+      for_each_child_frag(ns_, *f, [&](const DirFragId& c, const DirFrag& cf) {
+        if (cf.auth == rank) children.push_back(c);
+      });
       if (children.empty()) {
         // A hot flat directory: nothing below to descend into, so it is
         // exportable as-is (directory fragmentation handles splitting).
@@ -1157,26 +1186,14 @@ void MdsCluster::finish_migration(std::size_t idx) {
   // keep their entries and their annotations; ancestry alone must not
   // absorb them, since the migration never touched them.
   std::vector<DirFragId> absorbed;
-  DirFrag* rootf = ns_.frag(mig.rec.frag);
-  if (rootf != nullptr) {
-    std::vector<DirFragId> stack{mig.rec.frag};
-    while (!stack.empty()) {
-      const DirFragId cur = stack.back();
-      stack.pop_back();
-      DirFrag* f = ns_.frag(cur);
-      if (f == nullptr || f->auth != from) continue;
-      f->auth = to;
-      if (cur != mig.rec.frag && subtree_roots_.count(cur) != 0)
-        absorbed.push_back(cur);
-      // The importer has to fetch the dirfrag object from RADOS.
-      ns_.record_op(cur, MetaOp::FETCH, now);
-      for (const auto& [name, ino] : f->dentries) {
-        mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-      }
-    }
-  }
+  walk_auth_region(ns_, {mig.rec.frag}, from,
+                   [&](const DirFragId& cur, DirFrag& f) {
+                     f.auth = to;
+                     if (cur != mig.rec.frag && subtree_roots_.count(cur) != 0)
+                       absorbed.push_back(cur);
+                     // The importer has to fetch the dirfrag object from RADOS.
+                     ns_.record_op(cur, MetaOp::FETCH, now);
+                   });
 
   // Update the subtree map: the exported frag becomes a bound owned by the
   // importer, absorbing exactly the inner roots the flip traversed.
@@ -1491,21 +1508,11 @@ bool MdsCluster::crash_mds(MdsRank rank) {
 void MdsCluster::adopt_subtrees(MdsRank from, MdsRank to) {
   const Time now = sim_now();
   for (const DirFragId& root : roots_of(from)) {
-    std::vector<DirFragId> stack{root};
-    while (!stack.empty()) {
-      const DirFragId cur = stack.back();
-      stack.pop_back();
-      DirFrag* f = ns_.frag(cur);
-      if (f == nullptr || f->auth != from) continue;  // foreign bound
-      f->auth = to;
+    walk_auth_region(ns_, {root}, from, [&](const DirFragId& cur, DirFrag& f) {
+      f.auth = to;
       // The adopter fetches the dirfrag objects from the object store.
       ns_.record_op(cur, MetaOp::FETCH, now);
-      for (const auto& [name, ino] : f->dentries) {
-        mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-      }
-    }
+    });
     subtree_roots_[root] = to;
   }
 }
@@ -1589,47 +1596,28 @@ void MdsCluster::flush_dirty(MdsRank rank) {
   // (feeding the `store` term of the metaload) and an omap write.
   const Time now = sim_now();
   for (const DirFragId& root : roots_of(rank)) {
-    std::vector<DirFragId> stack{root};
-    while (!stack.empty()) {
-      const DirFragId cur = stack.back();
-      stack.pop_back();
-      DirFrag* f = ns_.frag(cur);
-      if (f == nullptr || f->auth != rank) continue;
-      if (f->dirty) {
-        f->dirty = false;
-        store_.omap_set("dir." + cur.str(), "version",
-                        std::to_string(now / kMsec));
-        ns_.record_op(cur, MetaOp::STORE, now);
-      }
-      for (const auto& [name, ino] : f->dentries) {
-        mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-      }
-    }
+    walk_auth_region(ns_, {root}, rank, [&](const DirFragId& cur, DirFrag& f) {
+      if (!f.dirty) return;
+      f.dirty = false;
+      store_.omap_set("dir." + cur.str(), "version",
+                      std::to_string(now / kMsec));
+      ns_.record_op(cur, MetaOp::STORE, now);
+    });
   }
 }
 
 void MdsCluster::reparent_subtree(InodeId dir, MdsRank from, MdsRank to) {
-  mantle::mds::Dir* d = ns_.dir(dir);
+  const mantle::mds::Dir* d = ns_.dir(dir);
   if (d == nullptr || from == to) return;
-  std::vector<DirFragId> stack;
-  for (const auto& [f, df] : d->frags) stack.push_back({dir, f});
-  while (!stack.empty()) {
-    const DirFragId cur = stack.back();
-    stack.pop_back();
-    DirFrag* f = ns_.frag(cur);
-    if (f == nullptr || f->auth != from) continue;  // keep foreign bounds
-    f->auth = to;
-    const auto rit = subtree_roots_.find(cur);
-    if (rit != subtree_roots_.end() && rit->second == from)
-      rit->second = to;
-    for (const auto& [name, ino] : f->dentries) {
-      mantle::mds::Dir* child = ns_.dir(ino);
-      if (child == nullptr) continue;
-      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-    }
-  }
+  std::vector<DirFragId> seeds;
+  for (const auto& [f, df] : d->frags) seeds.push_back({dir, f});
+  walk_auth_region(ns_, std::move(seeds), from,
+                   [&](const DirFragId& cur, DirFrag& f) {
+                     f.auth = to;
+                     const auto rit = subtree_roots_.find(cur);
+                     if (rit != subtree_roots_.end() && rit->second == from)
+                       rit->second = to;
+                   });
 }
 
 std::size_t MdsCluster::flush_client_sessions(MdsRank a, MdsRank b) {
@@ -1696,8 +1684,8 @@ std::uint64_t MdsCluster::total_completed() const {
 
 std::vector<std::size_t> MdsCluster::auth_entry_counts() const {
   std::vector<std::size_t> out(static_cast<std::size_t>(num_mds()), 0);
-  for (const auto& [frag, rank] : subtree_roots_)
-    out[static_cast<std::size_t>(rank)] += subtree_entry_count(frag, rank);
+  for (MdsRank r = 0; r < num_mds(); ++r)
+    out[static_cast<std::size_t>(r)] = auth_entry_count(r);
   return out;
 }
 

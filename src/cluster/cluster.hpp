@@ -598,9 +598,10 @@ class MdsCluster {
   /// Forward a request to another MDS (one network hop).
   void route_to(MdsRank rank, Request r);
 
-  /// Park a request on the in-flight migration covering `id`; it is
-  /// re-injected at the importer when the migration commits.
-  void defer_to_migration(const DirFragId& id, Request r);
+  /// Park `r` on the in-flight migration covering `id` (moved from; it is
+  /// re-injected at the importer when the migration commits) and return
+  /// true. When `id` is not frozen, return false and leave `r` untouched.
+  bool defer_to_migration(const DirFragId& id, Request& r);
 
   /// Split a dirfrag that crossed the size threshold (GIGA+-style
   /// mechanism; policy is just the threshold in the config).
@@ -679,6 +680,11 @@ class MdsCluster {
   };
 
   enum class NodeLife { Up, Down, Replaying };
+
+  /// The first active migration (by id) whose exported frag contains
+  /// `id` in the frag_contains sense, or nullptr: the freeze rule behind
+  /// is_frozen() and defer_to_migration().
+  const ActiveMigration* covering_migration(const DirFragId& id) const;
 
   void deliver_reply(Reply rep);
   void note_session(MdsRank rank, int client);
