@@ -6,7 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "balancers/builtin.hpp"
@@ -173,6 +176,84 @@ BENCHMARK(BM_GatherCandidatesTick)
     ->ArgsProduct({{10'000, 100'000}, {1, 64}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+// --- Cluster layer: one tick's region walks over large directories -------
+// What every owning rank's tick walks: measure()'s subtree walk, then
+// flush_dirty()'s writeback walk (nothing is dirty after the first
+// iteration, so this is the walk alone). `flat`: rank 0 owns one
+// directory of N files, split into dirfrags as creates cross
+// split_size. `spread`: N files in 100-file leaf directories under 8
+// top-level directories, top-level directory i exported to rank i.
+// The walks follow each frag's subdirectory index, so the files
+// themselves cost nothing.
+
+struct WalkLayout {
+  long files = 0;
+  bool spread = false;
+  sim::Engine engine;
+  std::unique_ptr<cluster::MdsCluster> cluster;
+};
+
+/// One layout at a time: google-benchmark calls the function several
+/// times per argument set, and a 1M-file namespace is worth building once.
+cluster::MdsCluster& walk_layout(long files, bool spread) {
+  static std::unique_ptr<WalkLayout> cached;
+  if (cached && cached->files == files && cached->spread == spread)
+    return *cached->cluster;
+  cached.reset();
+  auto l = std::make_unique<WalkLayout>();
+  l->files = files;
+  l->spread = spread;
+  cluster::ClusterConfig cfg;
+  cfg.num_mds = 8;
+  l->cluster = std::make_unique<cluster::MdsCluster>(l->engine, cfg);
+  cluster::MdsCluster& c = *l->cluster;
+  auto& ns = c.ns();
+  auto add_files = [&](mds::InodeId dir, long n) {
+    for (long f = 0; f < n; ++f) {
+      const std::string name = "f" + std::to_string(f);
+      ns.create(dir, name, 0);
+      const mds::DirFragId frag = ns.frag_of(dir, name);
+      ns.record_op(frag, mds::MetaOp::IWR, 0);
+      c.maybe_split(frag);
+    }
+  };
+  if (!spread) {
+    add_files(ns.mkdir(ns.root(), "flat", 0), files);
+  } else {
+    std::vector<mds::InodeId> tops;
+    for (int t = 0; t < cfg.num_mds; ++t)
+      tops.push_back(ns.mkdir(ns.root(), "t" + std::to_string(t), 0));
+    for (long leaf = 0; leaf < files / 100; ++leaf)
+      add_files(ns.mkdir(tops[static_cast<std::size_t>(leaf % cfg.num_mds)],
+                         "l" + std::to_string(leaf), 0),
+                100);
+    for (int t = 1; t < cfg.num_mds; ++t)
+      c.export_subtree({tops[static_cast<std::size_t>(t)], {}}, t);
+  }
+  l->engine.run();  // commit the exports
+  cached = std::move(l);
+  return *cached->cluster;
+}
+
+void BM_RegionWalk(benchmark::State& state) {
+  cluster::MdsCluster& c = walk_layout(state.range(0), state.range(1) != 0);
+  std::vector<mds::MdsRank> owners;
+  for (mds::MdsRank r = 0; r < c.num_mds(); ++r)
+    if (!c.roots_of(r).empty()) owners.push_back(r);
+  for (auto _ : state) {
+    for (const mds::MdsRank r : owners) {
+      cluster::WalkMemo memo;
+      benchmark::DoNotOptimize(c.node(r).measure(&memo));
+      c.flush_dirty(r);
+    }
+  }
+  state.counters["ranks"] = static_cast<double>(owners.size());
+}
+BENCHMARK(BM_RegionWalk)
+    ->ArgNames({"files", "spread"})
+    ->ArgsProduct({{10'000, 100'000, 1'000'000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
 // --- Compile-once pipeline ---------------------------------------------
 // The pre-PR interpreter re-lexed and re-parsed the hook source on every
 // evaluation (and eval() additionally rebuilt the "return (<src>)" wrapper
@@ -295,6 +376,21 @@ void register_hook_benchmarks() {
   }
 }
 
+/// `git describe --always --dirty` of the source tree, or "unknown".
+std::string source_commit() {
+  const std::string cmd = std::string("git -C '") + MANTLE_SOURCE_DIR +
+                          "' describe --always --dirty 2>/dev/null";
+  std::string out;
+  if (FILE* p = popen(cmd.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): understands --quick (short
@@ -328,6 +424,12 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   register_hook_benchmarks();
+  // Enough context to compare two JSON files honestly: same host shape,
+  // same build type, and which checkout produced each.
+  benchmark::AddCustomContext(
+      "host_cpus", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("build_type", MANTLE_BUILD_TYPE);
+  benchmark::AddCustomContext("commit", source_commit());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   mantle::bench::print_phase_profile();

@@ -65,11 +65,12 @@ MetaOp op_to_meta(OpType op) {
 }
 
 /// Calls fn(id, frag) for every fragment of every directory that `f` has
-/// a dentry for, in dentry-name then frag order.
+/// a dentry for, in dentry-name then frag order. Follows `f.subdirs`, so
+/// the files of `f` cost nothing.
 template <class Fn>
 void for_each_child_frag(const mantle::mds::Namespace& ns, const DirFrag& f,
                          Fn&& fn) {
-  for (const auto& [name, ino] : f.dentries) {
+  for (const auto& [name, ino] : f.subdirs) {
     const mantle::mds::Dir* child = ns.dir(ino);
     if (child == nullptr) continue;
     for (const auto& [cf, cdf] : child->frags) fn(DirFragId{ino, cf}, cdf);
@@ -394,12 +395,15 @@ void MdsNode::complete(Request r, Time /*svc*/) {
   rep.finished_at = now;
 
   const mantle::mds::Dir* d = ns.dir(r.dir);
+  // The frag the op touches; nothing below splits or merges it before the
+  // load accounting charges it.
+  DirFragId target;
   if (d != nullptr) {
+    target = ns.frag_of(r.dir, r.name);
     // Tell the client which fragment this landed in, so it can keep a
     // frag-granular map of the namespace (CephFS clients learn the
     // dirfragtree from replies).
-    rep.frag = r.name.empty() ? d->frags.begin()->first
-                              : ns.frag_of(r.dir, r.name).frag;
+    rep.frag = r.name.empty() ? d->frags.begin()->first : target.frag;
   }
   if (d == nullptr) {
     rep.ok = false;
@@ -464,7 +468,6 @@ void MdsNode::complete(Request r, Time /*svc*/) {
       for (const frag_t f : frags)
         ns.record_op({r.dir, f}, MetaOp::READDIR, now);
     } else {
-      const DirFragId target = ns.frag_of(r.dir, r.name);
       ns.record_op(target, op_to_meta(r.op), now);
       if (r.op == OpType::Create || r.op == OpType::Mkdir)
         cluster_.maybe_split(target);

@@ -34,6 +34,7 @@ struct Inode {
 struct DirFrag {
   frag_t frag;
   std::map<std::string, InodeId> dentries;  // names whose hash lands here
+  std::map<std::string, InodeId> subdirs;   // the directories among them
   PopVector pop;                            // ops directly on this fragment
   MdsRank auth = kNoRank;                   // maintained by the cluster layer
   bool dirty = false;                       // needs a STORE before eviction
@@ -164,7 +165,6 @@ class Namespace {
   InodeId next_ino_ = kRootInode + 1;
   std::unordered_map<InodeId, Inode> inodes_;
   std::unordered_map<InodeId, Dir> dirs_;
-  std::unordered_map<InodeId, std::vector<InodeId>> children_dirs_;
 };
 
 /// Split an absolute path into components; leading/trailing/duplicate

@@ -138,6 +138,19 @@ class FuzzModel {
     return {parent, p.substr(pos + 1)};
   }
 
+  /// Every frag's directory index is exactly the directories among its
+  /// dentries, in the same name order.
+  void verify_subdir_index() const {
+    for (const InodeId d : ns_.subtree_dirs(ns_.root())) {
+      for (const auto& [f, df] : ns_.dir(d)->frags) {
+        std::map<std::string, InodeId> expect;
+        for (const auto& [name, ino] : df.dentries)
+          if (ns_.dir(ino) != nullptr) expect.emplace(name, ino);
+        ASSERT_EQ(df.subdirs, expect) << ns_.path_of(d) << " " << f.str();
+      }
+    }
+  }
+
   /// Full cross-check of the namespace against the reference model.
   void verify() const {
     // 1. Every reference path resolves, with the right type and path_of.
@@ -209,6 +222,8 @@ TEST_P(NamespaceFuzz, RandomOpsKeepModelAndNamespaceInAgreement) {
     } else {
       m.merge_random(rng);
     }
+    if (::testing::Test::HasFatalFailure()) return;
+    m.verify_subdir_index();
     if (::testing::Test::HasFatalFailure()) return;
     if (step % 300 == 299) m.verify();
   }
